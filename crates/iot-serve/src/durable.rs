@@ -1,6 +1,6 @@
 //! Per-home durable serving state: the on-disk layout, the live-state
-//! snapshot document, and the bookkeeping a shard worker does to keep a
-//! home recoverable.
+//! snapshot document, the verdict journal, and the bookkeeping a shard
+//! worker does to keep a home recoverable.
 //!
 //! With a [`crate::DurabilityConfig`] armed, every home owns a directory
 //! `home-<id>/` under the durability root:
@@ -10,6 +10,7 @@
 //!   home.meta            the home's registered name
 //!   model.ckpt           the serving model (v2 checkpoint format)
 //!   state.snap           latest runtime-state snapshot (this module)
+//!   verdicts.log         the recorded verdict history (journal, this module)
 //!   wal-0000000003.log   the live WAL segment (crate::wal framing)
 //! ```
 //!
@@ -18,18 +19,34 @@
 //! footer over everything above it, written atomically
 //! (tmp → fsync → rename). It embeds the monitor's runtime-state
 //! document verbatim and adds the serving layer's own state: the home's
-//! event sequence number, the next WAL epoch, the recorded verdict
-//! history, and the drift detector's window. Together with the model
-//! checkpoint and the WAL tail, that is everything `Hub::recover` needs
-//! to resume a home with bit-identical verdicts.
+//! event sequence number, the next WAL epoch, the drift detector's
+//! window, and one `verdicts <count> <bytes>` line naming how much of the
+//! verdict journal it covers. Together with the model checkpoint, that
+//! journal prefix and the WAL tail, that is everything `Hub::recover`
+//! needs to resume a home with bit-identical verdicts.
+//!
+//! The verdict journal is append-only and framed exactly like the WAL
+//! (`[u32 len][u32 crc32][payload]`): each record's payload is a kind
+//! byte (`3`), a verdict count and that many verdicts in little-endian
+//! binary, floats as `f64::to_bits`. A rotation appends only the
+//! verdicts scored since the previous snapshot, so snapshot and recovery
+//! cost follow the events since the last snapshot, not the age of the
+//! home. The journal is created at the home's first rotation that has
+//! verdicts to append; registration does not touch it.
 //!
 //! Snapshots are only ever taken at event boundaries, and a successful
-//! snapshot rotates the WAL: the old segment is sealed, the snapshot
-//! records the next epoch, a fresh segment opens, and older segments are
-//! deleted — the WAL tail never grows past one snapshot interval.
+//! snapshot rotates the WAL in crash-safe order: the old segment is
+//! sealed, the new verdicts are appended to the journal and fsynced, the
+//! snapshot (recording the next epoch and the new journal prefix) is
+//! published, a fresh segment opens, and older segments are deleted —
+//! the WAL tail never grows past one snapshot interval. A crash between
+//! any two steps leaves the previous snapshot in charge: it names a
+//! shorter journal prefix and an older epoch whose segments are still on
+//! disk, so replay regenerates whatever the journal holds past that
+//! prefix, and recovery truncates those surplus bytes.
 
-use std::fs;
-use std::io;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::str::{FromStr, SplitWhitespace};
 use std::time::Instant;
@@ -42,17 +59,31 @@ use causaliot_core::{Alarm, AlarmKind, AnomalousEvent, Verdict};
 use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
 
 use crate::config::DurabilityPolicy;
+use crate::error::RecoveryError;
 use crate::hub::HomeId;
-use crate::wal::{parse_segment_epoch, segment_file_name, SegmentWriter};
+use crate::wal::{
+    encode_record, parse_segment_epoch, read_frame, segment_file_name, Frame, SegmentWriter, FRAME,
+    MAX_PAYLOAD,
+};
 
 /// First line of every hub snapshot document.
-const MAGIC: &str = "causaliot-hub-snapshot v1";
+const MAGIC: &str = "causaliot-hub-snapshot v2";
+/// What every hub snapshot magic starts with, whatever its version.
+const MAGIC_FAMILY: &str = "causaliot-hub-snapshot ";
 /// The home's registered name.
 pub(crate) const META_FILE: &str = "home.meta";
 /// The serving model, in the core checkpoint format.
 pub(crate) const MODEL_FILE: &str = "model.ckpt";
 /// The latest live-state snapshot.
 pub(crate) const SNAP_FILE: &str = "state.snap";
+/// The append-only verdict journal.
+const JOURNAL_FILE: &str = "verdicts.log";
+
+/// Payload kind of a journal record: distinct from the WAL's event and
+/// seal kinds, so neither file's records decode as the other's.
+const KIND_VERDICTS: u8 = 3;
+/// A journal record's payload header: kind byte + verdict count.
+const JOURNAL_HEADER: usize = 1 + 4;
 
 /// The directory holding `home`'s durable state under `root`.
 pub(crate) fn home_dir(root: &Path, home: usize) -> PathBuf {
@@ -97,22 +128,54 @@ pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
-/// Appends the CRC footer to `doc` and writes it atomically to
-/// `dir/state.snap`.
-pub(crate) fn write_snapshot(dir: &Path, doc: &str) -> io::Result<()> {
-    let mut text = String::with_capacity(doc.len() + 24);
-    text.push_str(doc);
-    append_crc_footer(&mut text);
-    write_atomic(&dir.join(SNAP_FILE), text.as_bytes())
+/// The live state a snapshot captures, borrowed from the home's slot
+/// (or from a home being recovered).
+pub(crate) struct LiveState<'a> {
+    /// The home's event sequence number (events scored so far).
+    pub(crate) seq: u64,
+    /// The monitor's runtime-state document.
+    pub(crate) monitor_doc: &'a str,
+    /// The whole recorded verdict history, or `None` when the hub does
+    /// not record verdicts.
+    pub(crate) verdicts: Option<&'a [Verdict]>,
+    /// Drift-detector state, when adaptation is armed.
+    pub(crate) drift: Option<DriftParts<'a>>,
+}
+
+/// Publishes a snapshot of `live` recording `next_epoch`: appends the
+/// verdicts the journal does not hold yet (fsynced), then writes
+/// `state.snap` with its CRC footer atomically, naming the new journal
+/// prefix. The snapshot never names journal bytes that are not durable.
+pub(crate) fn publish_snapshot(
+    dir: &Path,
+    journal: &mut VerdictJournal,
+    next_epoch: u64,
+    live: &LiveState<'_>,
+) -> io::Result<()> {
+    let mark = live
+        .verdicts
+        .map(|history| journal.append_since_mark(history))
+        .transpose()?;
+    let mut doc = render_snapshot(
+        live.seq,
+        next_epoch,
+        live.monitor_doc,
+        mark,
+        live.drift.as_ref(),
+    );
+    append_crc_footer(&mut doc);
+    write_atomic(&dir.join(SNAP_FILE), doc.as_bytes())
 }
 
 /// One home's open durability state, owned by its shard worker's
-/// `HomeSlot`: the live WAL segment plus the sync/snapshot cadence
-/// bookkeeping. All I/O errors bubble up to the worker, which disarms
-/// durability for the home rather than stall or poison scoring.
+/// `HomeSlot`: the live WAL segment, the verdict journal, plus the
+/// sync/snapshot cadence bookkeeping. All I/O errors bubble up to the
+/// worker, which disarms durability for the home rather than stall or
+/// poison scoring.
 pub(crate) struct DurableHome {
     dir: PathBuf,
     writer: SegmentWriter,
+    journal: VerdictJournal,
     epoch: u64,
     policy: DurabilityPolicy,
     snapshot_every: u64,
@@ -126,7 +189,8 @@ pub(crate) struct DurableHome {
 impl DurableHome {
     /// Creates a fresh durable home: the directory, its `home.meta`, and
     /// WAL segment 0. The model checkpoint is the caller's job (it owns
-    /// the `FittedModel`).
+    /// the `FittedModel`); the verdict journal waits for the first
+    /// rotation.
     pub(crate) fn create(
         dir: PathBuf,
         name: &str,
@@ -135,15 +199,18 @@ impl DurableHome {
     ) -> io::Result<DurableHome> {
         fs::create_dir_all(&dir)?;
         write_atomic(&dir.join(META_FILE), format!("{name}\n").as_bytes())?;
-        Self::open_at(dir, 0, policy, snapshot_every)
+        let journal = VerdictJournal::at(&dir, JournalMark::default());
+        Self::open_at(dir, 0, journal, policy, snapshot_every)
     }
 
     /// Opens a durable home at an existing directory with a fresh WAL
     /// segment at `epoch` — the recovery path, after the post-recovery
-    /// snapshot has recorded `epoch` as the next to replay.
+    /// snapshot has recorded `epoch` as the next to replay and `journal`
+    /// as the verdict prefix it covers.
     pub(crate) fn open_at(
         dir: PathBuf,
         epoch: u64,
+        journal: VerdictJournal,
         policy: DurabilityPolicy,
         snapshot_every: u64,
     ) -> io::Result<DurableHome> {
@@ -151,6 +218,7 @@ impl DurableHome {
         Ok(DurableHome {
             dir,
             writer,
+            journal,
             epoch,
             policy,
             snapshot_every,
@@ -164,11 +232,6 @@ impl DurableHome {
     /// Where the home's model checkpoint lives.
     pub(crate) fn model_path(&self) -> PathBuf {
         self.dir.join(MODEL_FILE)
-    }
-
-    /// The epoch a snapshot taken now must record as next to replay.
-    pub(crate) fn next_epoch(&self) -> u64 {
-        self.epoch + 1
     }
 
     /// Appends scored events to the live segment (no fsync — that is
@@ -227,15 +290,16 @@ impl DurableHome {
         self.events_since_snapshot >= self.snapshot_every
     }
 
-    /// Rotates the WAL under a freshly rendered snapshot document (no
-    /// CRC footer yet): seals the live segment, atomically publishes the
-    /// snapshot, opens the next segment, and deletes the segments the
-    /// snapshot supersedes. If this fails partway the on-disk state is
-    /// still recoverable — the previous snapshot plus the sealed
-    /// segments replay to the same point.
-    pub(crate) fn rotate(&mut self, snapshot_doc: &str) -> io::Result<()> {
+    /// Rotates the WAL under a snapshot of `live`: seals the live
+    /// segment, appends the new verdicts to the journal, atomically
+    /// publishes the snapshot, opens the next segment, and deletes the
+    /// segments the snapshot supersedes. If this fails partway the
+    /// on-disk state is still recoverable — the previous snapshot plus
+    /// the sealed segments replay to the same point, and the journal
+    /// bytes past the previous snapshot's prefix are truncated.
+    pub(crate) fn rotate(&mut self, live: &LiveState<'_>) -> io::Result<()> {
         self.writer.seal()?;
-        write_snapshot(&self.dir, snapshot_doc)?;
+        publish_snapshot(&self.dir, &mut self.journal, self.epoch + 1, live)?;
         self.epoch += 1;
         self.writer = SegmentWriter::create(self.dir.join(segment_file_name(self.epoch)))?;
         self.events_since_sync = 0;
@@ -249,6 +313,355 @@ impl DurableHome {
         }
         Ok(())
     }
+}
+
+/// How much of a home's verdict journal a snapshot covers: its first
+/// `count` verdicts, held in its first `bytes` bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct JournalMark {
+    pub(crate) count: u64,
+    pub(crate) bytes: u64,
+}
+
+/// The append side of a home's verdict journal. The file is opened (and
+/// created) at the first append, truncated to the mark so a write always
+/// lands exactly where the latest snapshot's prefix ends. The encode
+/// buffer lives only for one append, so an idle home holds no copy of
+/// its last delta.
+pub(crate) struct VerdictJournal {
+    path: PathBuf,
+    file: Option<File>,
+    mark: JournalMark,
+}
+
+impl VerdictJournal {
+    /// The journal in `dir`, whose durable prefix is `mark`. No I/O.
+    pub(crate) fn at(dir: &Path, mark: JournalMark) -> VerdictJournal {
+        VerdictJournal {
+            path: dir.join(JOURNAL_FILE),
+            file: None,
+            mark,
+        }
+    }
+
+    /// Appends the verdicts of `history` past the mark, fsyncs them, and
+    /// returns the new mark. Nothing new means no I/O at all. The
+    /// directory entry of a freshly created journal becomes durable with
+    /// the snapshot that first names it (its atomic write fsyncs the
+    /// directory).
+    pub(crate) fn append_since_mark(&mut self, history: &[Verdict]) -> io::Result<JournalMark> {
+        let delta = usize::try_from(self.mark.count)
+            .ok()
+            .and_then(|count| history.get(count..))
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "verdict history is shorter than the journal",
+                )
+            })?;
+        if delta.is_empty() {
+            return Ok(self.mark);
+        }
+        let mut buf = Vec::new();
+        encode_journal(delta, &mut buf)?;
+        let file = match &mut self.file {
+            Some(file) => file,
+            none => {
+                let file = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)?;
+                file.set_len(self.mark.bytes)?;
+                none.insert(file)
+            }
+        };
+        file.write_all(&buf)?;
+        file.sync_all()?;
+        self.mark = JournalMark {
+            count: self.mark.count + delta.len() as u64,
+            bytes: self.mark.bytes + buf.len() as u64,
+        };
+        Ok(self.mark)
+    }
+}
+
+fn put_f64(out: &mut Vec<u8>, x: f64) {
+    out.extend_from_slice(&x.to_bits().to_le_bytes());
+}
+
+/// Writes a length or index as `u32`, refusing one that does not fit
+/// rather than journaling a truncated value under a valid CRC.
+fn put_u32(out: &mut Vec<u8>, n: usize) -> io::Result<()> {
+    let n = u32::try_from(n)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "verdict field exceeds u32"))?;
+    out.extend_from_slice(&n.to_le_bytes());
+    Ok(())
+}
+
+fn encode_verdict(v: &Verdict, out: &mut Vec<u8>) -> io::Result<()> {
+    put_f64(out, v.score);
+    out.push(v.exceeds_threshold as u8);
+    put_f64(out, v.confidence);
+    put_u32(out, v.alarms.len())?;
+    for alarm in &v.alarms {
+        out.push(matches!(alarm.kind, AlarmKind::Collective) as u8);
+        out.push(alarm.ended_by_abrupt as u8);
+        put_u32(out, alarm.events.len())?;
+        for ev in &alarm.events {
+            out.extend_from_slice(&ev.ordinal.to_le_bytes());
+            out.extend_from_slice(&ev.event.time.as_millis().to_le_bytes());
+            put_u32(out, ev.event.device.index())?;
+            out.push(ev.event.value as u8);
+            put_f64(out, ev.score);
+            put_u32(out, ev.cause_values.len())?;
+            for (var, value) in &ev.cause_values {
+                put_u32(out, var.device.index())?;
+                put_u32(out, var.lag)?;
+                out.push(*value as u8);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Appends `verdicts` to `out` as framed journal records, as many
+/// verdicts per record as fit under the WAL's payload cap.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when one verdict alone exceeds the cap.
+fn encode_journal(verdicts: &[Verdict], out: &mut Vec<u8>) -> io::Result<()> {
+    let cap = MAX_PAYLOAD as usize;
+    let mut payload = vec![KIND_VERDICTS, 0, 0, 0, 0];
+    let mut one = Vec::new();
+    let mut count = 0u32;
+    let mut flush = |payload: &mut Vec<u8>, count: u32| {
+        payload[1..JOURNAL_HEADER].copy_from_slice(&count.to_le_bytes());
+        encode_record(payload, out);
+        payload.truncate(JOURNAL_HEADER);
+    };
+    for v in verdicts {
+        one.clear();
+        encode_verdict(v, &mut one)?;
+        if JOURNAL_HEADER + one.len() > cap {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "verdict too large for one journal record",
+            ));
+        }
+        if payload.len() + one.len() > cap {
+            flush(&mut payload, count);
+            count = 0;
+        }
+        payload.extend_from_slice(&one);
+        count += 1;
+    }
+    if count > 0 {
+        flush(&mut payload, count);
+    }
+    Ok(())
+}
+
+/// A cursor over one journal record's payload.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], &'static str> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or("record ends inside a verdict")?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u32(&mut self) -> Result<u32, &'static str> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, &'static str> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, &'static str> {
+        self.u64().map(f64::from_bits)
+    }
+
+    fn flag(&mut self) -> Result<bool, &'static str> {
+        match self.take::<1>()?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err("flag byte is neither 0 nor 1"),
+        }
+    }
+
+    /// A count that claims at most one `min_size`-byte item per byte
+    /// left, so a damaged count cannot drive a huge allocation.
+    fn count(&mut self, min_size: usize) -> Result<usize, &'static str> {
+        let n = self.u32()? as usize;
+        if n > self.0.len() / min_size {
+            return Err("count exceeds the record");
+        }
+        Ok(n)
+    }
+}
+
+/// Smallest encodings, for [`Reader::count`]'s plausibility bound.
+const VERDICT_MIN: usize = 8 + 1 + 8 + 4;
+const ALARM_MIN: usize = 1 + 1 + 4;
+const EVENT_MIN: usize = 8 + 8 + 4 + 1 + 8 + 4;
+const CAUSE_SIZE: usize = 4 + 4 + 1;
+
+fn decode_verdict(r: &mut Reader<'_>) -> Result<Verdict, &'static str> {
+    let score = r.f64()?;
+    let exceeds_threshold = r.flag()?;
+    let confidence = r.f64()?;
+    let nalarms = r.count(ALARM_MIN)?;
+    let mut alarms = Vec::with_capacity(nalarms);
+    for _ in 0..nalarms {
+        let kind = if r.flag()? {
+            AlarmKind::Collective
+        } else {
+            AlarmKind::Contextual
+        };
+        let ended_by_abrupt = r.flag()?;
+        let nevents = r.count(EVENT_MIN)?;
+        let mut events = Vec::with_capacity(nevents);
+        for _ in 0..nevents {
+            let ordinal = r.u64()?;
+            let millis = r.u64()?;
+            let device = r.u32()? as usize;
+            let value = r.flag()?;
+            let score = r.f64()?;
+            let ncauses = r.count(CAUSE_SIZE)?;
+            let mut cause_values = Vec::with_capacity(ncauses);
+            for _ in 0..ncauses {
+                let device = r.u32()? as usize;
+                let lag = r.u32()? as usize;
+                let value = r.flag()?;
+                cause_values.push((LaggedVar::new(DeviceId::from_index(device), lag), value));
+            }
+            events.push(AnomalousEvent {
+                ordinal,
+                event: BinaryEvent::new(
+                    Timestamp::from_millis(millis),
+                    DeviceId::from_index(device),
+                    value,
+                ),
+                cause_values,
+                score,
+            });
+        }
+        alarms.push(Alarm {
+            kind,
+            events,
+            ended_by_abrupt,
+        });
+    }
+    Ok(Verdict {
+        score,
+        exceeds_threshold,
+        alarms,
+        confidence,
+    })
+}
+
+/// Decodes a journal prefix — every byte of it must belong to a whole,
+/// verified record — appending its verdicts to `out`. On failure returns
+/// the byte offset of the first record it could not trust and why.
+fn decode_journal(bytes: &[u8], out: &mut Vec<Verdict>) -> Result<(), (u64, String)> {
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let fail = |why: &str| (pos as u64, why.to_string());
+        let payload = match read_frame(&bytes[pos..]) {
+            Frame::Record(payload) => payload,
+            Frame::Torn => return Err(fail("record runs past the prefix the snapshot names")),
+            Frame::Bad(cause) => return Err(fail(&cause.to_string())),
+        };
+        let mut r = Reader(payload);
+        if r.take::<1>().map_err(fail)?[0] != KIND_VERDICTS {
+            return Err(fail("unknown record kind"));
+        }
+        let count = r.count(VERDICT_MIN).map_err(fail)?;
+        if count == 0 {
+            return Err(fail("empty verdict record"));
+        }
+        for _ in 0..count {
+            out.push(decode_verdict(&mut r).map_err(fail)?);
+        }
+        if !r.0.is_empty() {
+            return Err(fail("trailing bytes after the record's verdicts"));
+        }
+        pos += FRAME + payload.len();
+    }
+    Ok(())
+}
+
+/// Reads the verdict history a snapshot names: exactly the journal
+/// prefix `mark`, verified record by record, and fail-closed — a missing
+/// or short journal, a damaged record inside the prefix, or a verdict
+/// count that disagrees is [`RecoveryError::Corrupt`] naming the journal
+/// and the byte offset. Bytes past the prefix (left by a rotation that
+/// died before its snapshot landed; the WAL replay regenerates those
+/// verdicts) are not read, and are truncated away.
+pub(crate) fn read_journal(dir: &Path, mark: JournalMark) -> Result<Vec<Verdict>, RecoveryError> {
+    let path = dir.join(JOURNAL_FILE);
+    let corrupt = |detail: String| RecoveryError::Corrupt {
+        file: path.clone(),
+        detail,
+    };
+    let (mut file, len) = match File::open(&path) {
+        Ok(file) => {
+            let len = file.metadata()?.len();
+            (Some(file), len)
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound && mark.bytes > 0 => {
+            return Err(corrupt(format!(
+                "offset 0: journal is missing, but the snapshot names {} bytes of it",
+                mark.bytes
+            )));
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (None, 0),
+        Err(e) => return Err(e.into()),
+    };
+    if len < mark.bytes {
+        return Err(corrupt(format!(
+            "offset {len}: journal ends here, but the snapshot names {} bytes",
+            mark.bytes
+        )));
+    }
+    // `len` bounds the allocation: the prefix fits in the file.
+    let size = usize::try_from(mark.bytes).map_err(|_| {
+        corrupt(format!(
+            "offset 0: {} bytes do not fit in memory",
+            mark.bytes
+        ))
+    })?;
+    let mut prefix = vec![0u8; size];
+    if let Some(file) = file.as_mut() {
+        file.read_exact(&mut prefix)?;
+    }
+    // A verified snapshot's count sizes the history exactly (bounded by
+    // what the prefix can hold, so a wrong count cannot over-allocate).
+    let capacity = usize::try_from(mark.count).map_or(0, |n| n.min(prefix.len() / VERDICT_MIN));
+    let mut verdicts = Vec::with_capacity(capacity);
+    decode_journal(&prefix, &mut verdicts)
+        .map_err(|(offset, why)| corrupt(format!("offset {offset}: {why}")))?;
+    if verdicts.len() as u64 != mark.count {
+        return Err(corrupt(format!(
+            "offset {}: the prefix holds {} verdicts, but the snapshot names {}",
+            mark.bytes,
+            verdicts.len(),
+            mark.count
+        )));
+    }
+    if len > mark.bytes {
+        OpenOptions::new()
+            .write(true)
+            .open(&path)?
+            .set_len(mark.bytes)?;
+    }
+    Ok(verdicts)
 }
 
 /// The serving-layer state a worker restores into a freshly registered
@@ -292,9 +705,20 @@ pub(crate) struct SnapshotDoc {
     pub(crate) next_epoch: u64,
     /// The embedded monitor runtime-state document, verbatim.
     pub(crate) monitor_doc: String,
-    /// `Some` exactly when the snapshot carried a verdict history.
-    pub(crate) verdicts: Option<Vec<Verdict>>,
+    /// The journal prefix holding the verdict history; `Some` exactly
+    /// when the snapshot was taken with verdicts recorded.
+    pub(crate) verdicts: Option<JournalMark>,
     pub(crate) drift: Option<DriftResume>,
+}
+
+/// Why a snapshot document was refused.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum SnapshotError {
+    /// An intact hub snapshot in a format version this build does not
+    /// read; carries the document's magic line.
+    UnsupportedVersion(String),
+    /// A damaged or malformed document.
+    Malformed(String),
 }
 
 /// Renders the snapshot document (sans CRC footer — the writer appends
@@ -303,7 +727,7 @@ pub(crate) fn render_snapshot(
     seq: u64,
     next_epoch: u64,
     monitor_doc: &str,
-    verdicts: Option<&[Verdict]>,
+    verdicts: Option<JournalMark>,
     drift: Option<&DriftParts<'_>>,
 ) -> String {
     use std::fmt::Write as _;
@@ -316,43 +740,8 @@ pub(crate) fn render_snapshot(
     if !monitor_doc.ends_with('\n') {
         out.push('\n');
     }
-    if let Some(verdicts) = verdicts {
-        let _ = writeln!(out, "verdicts {}", verdicts.len());
-        for v in verdicts {
-            let _ = writeln!(
-                out,
-                "v {:?} {} {:?} {}",
-                v.score,
-                v.exceeds_threshold as u8,
-                v.confidence,
-                v.alarms.len()
-            );
-            for alarm in &v.alarms {
-                let kind = matches!(alarm.kind, AlarmKind::Collective) as u8;
-                let _ = writeln!(
-                    out,
-                    "a {kind} {} {}",
-                    alarm.ended_by_abrupt as u8,
-                    alarm.events.len()
-                );
-                for ev in &alarm.events {
-                    let _ = writeln!(
-                        out,
-                        "e {} {} {} {} {:?} {}",
-                        ev.ordinal,
-                        ev.event.time.as_millis(),
-                        ev.event.device.index(),
-                        ev.event.value as u8,
-                        ev.score,
-                        ev.cause_values.len()
-                    );
-                    for (var, value) in &ev.cause_values {
-                        let _ =
-                            writeln!(out, "c {} {} {}", var.device.index(), var.lag, *value as u8);
-                    }
-                }
-            }
-        }
+    if let Some(mark) = verdicts {
+        let _ = writeln!(out, "verdicts {} {}", mark.count, mark.bytes);
     }
     match drift {
         None => out.push_str("drift 0\n"),
@@ -417,50 +806,60 @@ fn bool01(parts: &mut SplitWhitespace, line: usize, what: &str) -> Result<bool, 
 
 /// Parses and verifies a snapshot document (body + CRC footer, as read
 /// from disk). Fail-closed: any mismatch is an error, never a partial
-/// restore.
-pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
+/// restore. An intact document whose magic names another version of the
+/// format is [`SnapshotError::UnsupportedVersion`].
+pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, SnapshotError> {
     let Some(pos) = find_crc_footer(text) else {
-        return Err("missing crc32 footer".into());
+        return Err(SnapshotError::Malformed("missing crc32 footer".into()));
     };
     let footer = text[pos..].trim_end();
     let want = footer
         .strip_prefix(CRC_FOOTER_PREFIX)
         .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-        .ok_or("unparseable crc32 footer")?;
+        .ok_or_else(|| SnapshotError::Malformed("unparseable crc32 footer".into()))?;
     let got = crc32(&text.as_bytes()[..pos]);
     if got != want {
-        return Err(format!(
+        return Err(SnapshotError::Malformed(format!(
             "crc32 mismatch: footer {want:08x}, content {got:08x}"
-        ));
+        )));
     }
     let lines: Vec<&str> = text[..pos].lines().collect();
-    let mut i = 0usize;
-    let take = |lines: &[&str], i: &mut usize, what: &str| -> Result<String, String> {
+    match lines.first() {
+        Some(&magic) if magic == MAGIC => {}
+        Some(&magic) if magic.starts_with(MAGIC_FAMILY) => {
+            return Err(SnapshotError::UnsupportedVersion(magic.to_string()))
+        }
+        _ => return Err(SnapshotError::Malformed(snap_err(1, "bad magic"))),
+    }
+    parse_body(&lines).map_err(SnapshotError::Malformed)
+}
+
+/// Parses the lines after a verified snapshot's magic line.
+fn parse_body(lines: &[&str]) -> Result<SnapshotDoc, String> {
+    let mut i = 1usize;
+    let take = |i: &mut usize, what: &str| -> Result<&str, String> {
         let line = lines
             .get(*i)
             .ok_or_else(|| snap_err(*i + 1, format!("missing {what}")))?;
         *i += 1;
-        Ok((*line).to_string())
+        Ok(line)
     };
-    if take(&lines, &mut i, "magic")? != MAGIC {
-        return Err(snap_err(1, "bad magic"));
-    }
 
-    let line = take(&lines, &mut i, "seq")?;
+    let line = take(&mut i, "seq")?;
     let mut parts = line.split_whitespace();
     if parts.next() != Some("seq") {
         return Err(snap_err(i, "expected seq"));
     }
     let seq: u64 = field(&mut parts, i, "seq")?;
 
-    let line = take(&lines, &mut i, "wal.next_epoch")?;
+    let line = take(&mut i, "wal.next_epoch")?;
     let mut parts = line.split_whitespace();
     if parts.next() != Some("wal.next_epoch") {
         return Err(snap_err(i, "expected wal.next_epoch"));
     }
     let next_epoch: u64 = field(&mut parts, i, "wal.next_epoch")?;
 
-    if take(&lines, &mut i, "monitor")? != "monitor" {
+    if take(&mut i, "monitor")? != "monitor" {
         return Err(snap_err(i, "expected monitor"));
     }
     // The embedded runtime-state document runs through its own `end`
@@ -476,97 +875,24 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
     let mut monitor_doc = lines[start..i].join("\n");
     monitor_doc.push('\n');
 
-    let mut verdicts: Option<Vec<Verdict>> = None;
+    let mut verdicts = None;
     if lines.get(i).is_some_and(|l| l.starts_with("verdicts ")) {
-        let line = take(&lines, &mut i, "verdicts")?;
+        let line = take(&mut i, "verdicts")?;
         let mut parts = line.split_whitespace();
         parts.next();
-        let count: usize = field(&mut parts, i, "verdict count")?;
-        let mut list = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let line = take(&lines, &mut i, "verdict")?;
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("v") {
-                return Err(snap_err(i, "expected v"));
-            }
-            let score: f64 = field(&mut parts, i, "score")?;
-            let exceeds_threshold = bool01(&mut parts, i, "exceeds flag")?;
-            let confidence: f64 = field(&mut parts, i, "confidence")?;
-            let nalarms: usize = field(&mut parts, i, "alarm count")?;
-            let mut alarms = Vec::with_capacity(nalarms.min(1 << 10));
-            for _ in 0..nalarms {
-                let line = take(&lines, &mut i, "alarm")?;
-                let mut parts = line.split_whitespace();
-                if parts.next() != Some("a") {
-                    return Err(snap_err(i, "expected a"));
-                }
-                let kind = if bool01(&mut parts, i, "alarm kind")? {
-                    AlarmKind::Collective
-                } else {
-                    AlarmKind::Contextual
-                };
-                let ended_by_abrupt = bool01(&mut parts, i, "abrupt flag")?;
-                let nevents: usize = field(&mut parts, i, "alarm event count")?;
-                let mut events = Vec::with_capacity(nevents.min(1 << 16));
-                for _ in 0..nevents {
-                    let line = take(&lines, &mut i, "anomalous event")?;
-                    let mut parts = line.split_whitespace();
-                    if parts.next() != Some("e") {
-                        return Err(snap_err(i, "expected e"));
-                    }
-                    let ordinal: u64 = field(&mut parts, i, "ordinal")?;
-                    let millis: u64 = field(&mut parts, i, "timestamp")?;
-                    let device: usize = field(&mut parts, i, "device")?;
-                    let value = bool01(&mut parts, i, "value")?;
-                    let score: f64 = field(&mut parts, i, "event score")?;
-                    let ncauses: usize = field(&mut parts, i, "cause count")?;
-                    let mut cause_values = Vec::with_capacity(ncauses.min(1 << 10));
-                    for _ in 0..ncauses {
-                        let line = take(&lines, &mut i, "cause")?;
-                        let mut parts = line.split_whitespace();
-                        if parts.next() != Some("c") {
-                            return Err(snap_err(i, "expected c"));
-                        }
-                        let device: usize = field(&mut parts, i, "cause device")?;
-                        let lag: usize = field(&mut parts, i, "cause lag")?;
-                        let value = bool01(&mut parts, i, "cause value")?;
-                        cause_values
-                            .push((LaggedVar::new(DeviceId::from_index(device), lag), value));
-                    }
-                    events.push(AnomalousEvent {
-                        ordinal,
-                        event: BinaryEvent::new(
-                            Timestamp::from_millis(millis),
-                            DeviceId::from_index(device),
-                            value,
-                        ),
-                        cause_values,
-                        score,
-                    });
-                }
-                alarms.push(Alarm {
-                    kind,
-                    events,
-                    ended_by_abrupt,
-                });
-            }
-            list.push(Verdict {
-                score,
-                exceeds_threshold,
-                alarms,
-                confidence,
-            });
-        }
-        verdicts = Some(list);
+        verdicts = Some(JournalMark {
+            count: field(&mut parts, i, "verdict count")?,
+            bytes: field(&mut parts, i, "journal bytes")?,
+        });
     }
 
-    let line = take(&lines, &mut i, "drift")?;
+    let line = take(&mut i, "drift")?;
     let mut parts = line.split_whitespace();
     if parts.next() != Some("drift") {
         return Err(snap_err(i, "expected drift"));
     }
     let drift = if bool01(&mut parts, i, "drift flag")? {
-        let line = take(&lines, &mut i, "drift.meta")?;
+        let line = take(&mut i, "drift.meta")?;
         let mut parts = line.split_whitespace();
         if parts.next() != Some("drift.meta") {
             return Err(snap_err(i, "expected drift.meta"));
@@ -577,7 +903,7 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
         let nwindow: usize = field(&mut parts, i, "window count")?;
         let mut samples = Vec::with_capacity(nsamples.min(1 << 20));
         for _ in 0..nsamples {
-            let line = take(&lines, &mut i, "drift sample")?;
+            let line = take(&mut i, "drift sample")?;
             let mut parts = line.split_whitespace();
             if parts.next() != Some("drift.s") {
                 return Err(snap_err(i, "expected drift.s"));
@@ -589,7 +915,7 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
         }
         let mut window = Vec::with_capacity(nwindow.min(1 << 20));
         for _ in 0..nwindow {
-            let line = take(&lines, &mut i, "drift window event")?;
+            let line = take(&mut i, "drift window event")?;
             let mut parts = line.split_whitespace();
             if parts.next() != Some("drift.w") {
                 return Err(snap_err(i, "expected drift.w"));
@@ -603,7 +929,7 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
                 value,
             ));
         }
-        let line = take(&lines, &mut i, "drift.base")?;
+        let line = take(&mut i, "drift.base")?;
         let bits = line
             .strip_prefix("drift.base ")
             .ok_or_else(|| snap_err(i, "expected drift.base"))?;
@@ -626,7 +952,7 @@ pub(crate) fn parse_snapshot(text: &str) -> Result<SnapshotDoc, String> {
         None
     };
 
-    if take(&lines, &mut i, "end")? != "end" {
+    if take(&mut i, "end")? != "end" {
         return Err(snap_err(i, "expected end"));
     }
     if i != lines.len() {
@@ -686,6 +1012,7 @@ impl RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DurabilityConfig, Hub, HubConfig};
 
     fn event(i: u64) -> BinaryEvent {
         BinaryEvent::new(
@@ -721,14 +1048,43 @@ mod tests {
                     }],
                 }],
             },
+            Verdict {
+                score: f64::NEG_INFINITY,
+                exceeds_threshold: true,
+                confidence: 0.0,
+                alarms: vec![
+                    Alarm {
+                        kind: AlarmKind::Contextual,
+                        ended_by_abrupt: false,
+                        events: vec![AnomalousEvent {
+                            ordinal: 42,
+                            event: event(8),
+                            cause_values: vec![(LaggedVar::new(DeviceId::from_index(0), 1), true)],
+                            score: f64::NEG_INFINITY,
+                        }],
+                    },
+                    Alarm {
+                        kind: AlarmKind::Collective,
+                        ended_by_abrupt: false,
+                        events: Vec::new(),
+                    },
+                ],
+            },
         ]
+    }
+
+    /// The journal encoding of `verdicts`: equal bytes are bit-identical
+    /// verdicts, NaN scores included (`NaN != NaN` defeats `==`).
+    fn journal_bytes(verdicts: &[Verdict]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_journal(verdicts, &mut out).unwrap();
+        out
     }
 
     const MONITOR_DOC: &str = "causaliot-runtime v1\nstats 0 0 0 0\nend\n";
 
     #[test]
     fn snapshot_round_trips_every_section() {
-        let verdicts = sample_verdicts();
         let base = SystemState::from_values(vec![true, false, true]);
         let window = vec![event(1), event(2)];
         let drift = DriftParts {
@@ -741,17 +1097,17 @@ mod tests {
             window: &window,
             base_state: &base,
         };
-        let mut doc = render_snapshot(42, 3, MONITOR_DOC, Some(&verdicts), Some(&drift));
+        let mark = JournalMark {
+            count: 3,
+            bytes: 177,
+        };
+        let mut doc = render_snapshot(42, 3, MONITOR_DOC, Some(mark), Some(&drift));
         append_crc_footer(&mut doc);
         let parsed = parse_snapshot(&doc).unwrap();
         assert_eq!(parsed.seq, 42);
         assert_eq!(parsed.next_epoch, 3);
         assert_eq!(parsed.monitor_doc, MONITOR_DOC);
-        let got = parsed.verdicts.unwrap();
-        // NaN != NaN, so compare the round-trip through the renderer.
-        let mut again = render_snapshot(42, 3, MONITOR_DOC, Some(&got), Some(&drift));
-        append_crc_footer(&mut again);
-        assert_eq!(doc, again);
+        assert_eq!(parsed.verdicts, Some(mark));
         let drift = parsed.drift.unwrap();
         assert_eq!(drift.since_check, 7);
         assert_eq!(drift.events_seen, 1234);
@@ -772,20 +1128,31 @@ mod tests {
         assert!(parsed.drift.is_none());
     }
 
+    fn malformed(text: &str) -> String {
+        match parse_snapshot(text) {
+            Err(SnapshotError::Malformed(detail)) => detail,
+            other => panic!("expected a malformed snapshot, got {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupt_snapshots_fail_closed() {
-        let mut doc = render_snapshot(9, 2, MONITOR_DOC, Some(&sample_verdicts()), None);
+        let mark = JournalMark {
+            count: 2,
+            bytes: 99,
+        };
+        let mut doc = render_snapshot(9, 2, MONITOR_DOC, Some(mark), None);
         append_crc_footer(&mut doc);
 
         // Flip one content byte: the footer must catch it.
         let mut bytes = doc.clone().into_bytes();
         bytes[MAGIC.len() + 5] ^= 1;
         let flipped = String::from_utf8(bytes).unwrap();
-        assert!(parse_snapshot(&flipped).unwrap_err().contains("crc32"));
+        assert!(malformed(&flipped).contains("crc32"));
 
         // Drop the footer entirely.
         let body = &doc[..find_crc_footer(&doc).unwrap()];
-        assert!(parse_snapshot(body).unwrap_err().contains("footer"));
+        assert!(malformed(body).contains("footer"));
 
         // Structural damage with a *recomputed* footer still fails: the
         // parser itself is the last line of defence.
@@ -796,7 +1163,81 @@ mod tests {
             .join("\n");
         truncated.push('\n');
         append_crc_footer(&mut truncated);
-        assert!(parse_snapshot(&truncated).unwrap_err().contains("drift"));
+        assert!(malformed(&truncated).contains("drift"));
+
+        // A journal line missing its byte count.
+        let mut short = body.replace("verdicts 2 99", "verdicts 2");
+        append_crc_footer(&mut short);
+        assert!(malformed(&short).contains("journal bytes"));
+    }
+
+    #[test]
+    fn v1_snapshot_fails_closed_as_unsupported_version() {
+        // An intact v1 document (verdict history inline) is refused by
+        // version, not misread or reported as damage.
+        let mut v1 = String::from("causaliot-hub-snapshot v1\nseq 1\nwal.next_epoch 1\nmonitor\n");
+        v1.push_str(MONITOR_DOC);
+        v1.push_str("verdicts 1\nv 0.5 0 1.0 0\ndrift 0\nend\n");
+        append_crc_footer(&mut v1);
+        assert_eq!(
+            parse_snapshot(&v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion("causaliot-hub-snapshot v1".into())
+        );
+        // Another document family altogether is damage, not a version.
+        let mut alien = String::from("causaliot-runtime v1\nend\n");
+        append_crc_footer(&mut alien);
+        assert!(malformed(&alien).contains("magic"));
+    }
+
+    #[test]
+    fn journal_round_trip_is_bit_exact() {
+        let verdicts = sample_verdicts();
+        let bytes = journal_bytes(&verdicts);
+        let mut got = Vec::new();
+        decode_journal(&bytes, &mut got).unwrap();
+        assert_eq!(got.len(), verdicts.len());
+        for (a, b) in got.iter().zip(&verdicts) {
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+            assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+        }
+        assert!(got[1].score.is_nan());
+        assert_eq!(got[2].score, f64::NEG_INFINITY);
+        // Alarms keep their kind, flags, events and cause lists.
+        assert_eq!(got[1].alarms, verdicts[1].alarms);
+        assert_eq!(got[2].alarms, verdicts[2].alarms);
+        assert_eq!(got[1].alarms[0].events[0].cause_values.len(), 2);
+        assert_eq!(journal_bytes(&got), bytes);
+        // A small delta is one record.
+        assert!(matches!(read_frame(&bytes), Frame::Record(p) if p.len() + FRAME == bytes.len()));
+    }
+
+    #[test]
+    fn journal_delta_larger_than_max_payload_spans_several_records() {
+        let plain = |i: u64| Verdict {
+            score: i as f64 * 0.25,
+            exceeds_threshold: i.is_multiple_of(7),
+            alarms: Vec::new(),
+            confidence: 1.0,
+        };
+        let mut verdicts: Vec<Verdict> = (0..60_000).map(plain).collect();
+        verdicts[31_000] = sample_verdicts().swap_remove(1);
+        let bytes = journal_bytes(&verdicts);
+        assert!(bytes.len() > MAX_PAYLOAD as usize);
+        let mut records = 0;
+        let mut pos = 0;
+        while pos < bytes.len() {
+            let Frame::Record(payload) = read_frame(&bytes[pos..]) else {
+                panic!("bad frame at {pos}");
+            };
+            assert!(payload.len() <= MAX_PAYLOAD as usize);
+            records += 1;
+            pos += FRAME + payload.len();
+        }
+        assert!(records >= 2, "{records} record(s)");
+        let mut got = Vec::new();
+        decode_journal(&bytes, &mut got).unwrap();
+        assert_eq!(got.len(), verdicts.len());
+        assert_eq!(journal_bytes(&got), bytes);
     }
 
     #[test]
@@ -808,10 +1249,29 @@ mod tests {
         assert_eq!(parse_home_dir("home-x1"), None);
     }
 
+    /// A fresh scratch directory, removed on drop.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let dir = std::env::temp_dir()
+                .join(format!("iot-serve-durable-{tag}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn durable_home_rotates_and_prunes_segments() {
-        let dir = std::env::temp_dir().join(format!("iot-serve-durable-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let scratch = Scratch::new("rotate");
+        let dir = scratch.0.join("home-0");
         let policy = DurabilityPolicy::Interval {
             events: 4,
             max_delay: std::time::Duration::from_secs(3600),
@@ -821,20 +1281,246 @@ mod tests {
             fs::read_to_string(dir.join(META_FILE)).unwrap(),
             "kitchen\n"
         );
+        // Registration leaves the journal for the first rotation.
+        assert!(!dir.join(JOURNAL_FILE).exists());
         let events: Vec<BinaryEvent> = (0..8).map(event).collect();
         home.append(&events[..3]).unwrap();
         assert!(!home.sync_if_due().unwrap());
         home.append(&events[3..8]).unwrap();
         assert!(home.sync_if_due().unwrap());
         assert!(home.needs_snapshot());
-        let doc = render_snapshot(8, home.next_epoch(), MONITOR_DOC, None, None);
-        home.rotate(&doc).unwrap();
+        let verdicts = sample_verdicts();
+        let live = |n| LiveState {
+            seq: 8,
+            monitor_doc: MONITOR_DOC,
+            verdicts: Some(&verdicts[..n]),
+            drift: None,
+        };
+        home.rotate(&live(2)).unwrap();
         assert!(!home.needs_snapshot());
         let segments = list_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1, "old segment pruned");
         assert_eq!(segments[0].0, 1);
-        let text = fs::read_to_string(dir.join(SNAP_FILE)).unwrap();
-        assert_eq!(parse_snapshot(&text).unwrap().next_epoch, 1);
-        fs::remove_dir_all(&dir).unwrap();
+        let snap = |dir: &Path| parse_snapshot(&fs::read_to_string(dir.join(SNAP_FILE)).unwrap());
+        let doc = snap(&dir).unwrap();
+        assert_eq!(doc.next_epoch, 1);
+        let first = doc.verdicts.unwrap();
+        assert_eq!(first.count, 2);
+        assert_eq!(
+            first.bytes,
+            fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len()
+        );
+
+        // The next rotation appends only the new verdict.
+        home.rotate(&live(3)).unwrap();
+        let mark = snap(&dir).unwrap().verdicts.unwrap();
+        assert_eq!(mark.count, 3);
+        assert_eq!(
+            mark.bytes - first.bytes,
+            journal_bytes(&verdicts[2..]).len() as u64
+        );
+        let got = read_journal(&dir, mark).unwrap();
+        assert_eq!(journal_bytes(&got), journal_bytes(&verdicts));
+    }
+
+    // --- Hub-level crash points ----------------------------------------
+
+    /// The shared two-device test model and a stream of `n` events for
+    /// it, with some anomalies (lamp flips without presence).
+    fn model_and_stream(n: u64) -> (causaliot_core::FittedModel, Vec<BinaryEvent>) {
+        let (reg, model) = crate::hub::tests::fitted_model();
+        let pe = reg.id_of("PE_room").unwrap();
+        let lamp = reg.id_of("S_lamp").unwrap();
+        let events = (0..n)
+            .map(|i| {
+                let dev = if i % 3 == 0 || i % 11 == 5 { lamp } else { pe };
+                BinaryEvent::new(Timestamp::from_secs(200_000 + i * 30), dev, i % 2 == 0)
+            })
+            .collect();
+        (model, events)
+    }
+
+    fn durable_config(dir: &Path, snapshot_every: u64) -> HubConfig {
+        let mut durability = DurabilityConfig::at(dir);
+        durability.snapshot_every = snapshot_every;
+        HubConfig::builder()
+            .workers(1)
+            .durability(durability)
+            .try_build()
+            .unwrap()
+    }
+
+    /// Copies a durability root the way a kill -9 leaves it: every byte
+    /// the live hub has written, whatever its fsync state.
+    fn crash_image(root: &Path, image: &Path) {
+        for (id, dir) in list_home_dirs(root).unwrap() {
+            let to = home_dir(image, id);
+            fs::create_dir_all(&to).unwrap();
+            for entry in fs::read_dir(dir).unwrap() {
+                let entry = entry.unwrap();
+                fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+            }
+        }
+    }
+
+    /// Serves `batches` to one durable home, draining after each, and
+    /// returns the uninterrupted verdict stream plus a crash image taken
+    /// after the last batch.
+    fn serve_and_crash(
+        scratch: &Scratch,
+        model: &causaliot_core::FittedModel,
+        every: u64,
+        batches: &[&[BinaryEvent]],
+    ) -> Vec<Verdict> {
+        let live = scratch.0.join("live");
+        let mut hub = Hub::new(durable_config(&live, every));
+        let home = hub.register("kitchen", model);
+        for batch in batches {
+            assert!(hub.submit_batch(home, batch).unwrap().is_complete());
+            hub.drain();
+        }
+        crash_image(&live, &scratch.0.join("image"));
+        hub.shutdown().remove(0).verdicts
+    }
+
+    fn recover_image(
+        scratch: &Scratch,
+        every: u64,
+    ) -> Result<(Hub, crate::RecoveryReport), RecoveryError> {
+        Hub::recover(durable_config(&scratch.0.join("image"), every))
+    }
+
+    #[test]
+    fn crash_after_journal_fsync_before_snapshot_rename_recovers_bit_identically() {
+        let scratch = Scratch::new("surplus");
+        let (model, events) = model_and_stream(30);
+        let expected = serve_and_crash(&scratch, &model, 16, &[&events[..20], &events[20..]]);
+        let dir = home_dir(&scratch.0.join("image"), 0);
+        let before = parse_snapshot(&fs::read_to_string(dir.join(SNAP_FILE)).unwrap())
+            .unwrap()
+            .verdicts
+            .unwrap();
+        assert_eq!(before.count, 20);
+        // Replay the dying rotation's first two steps on the image: seal
+        // the live segment, then append and fsync the delta's verdicts.
+        // The rename that would have published the snapshot never ran.
+        let (epoch, segment) = list_segments(&dir).unwrap().pop().unwrap();
+        let tail = crate::wal::replay_segment(&segment).unwrap().events;
+        assert_eq!(tail, events[20..]);
+        let mut writer = SegmentWriter::create(&segment).unwrap();
+        writer.append_events(&tail).unwrap();
+        writer.seal().unwrap();
+        let surplus = journal_bytes(&expected[20..]);
+        let mut journal = OpenOptions::new()
+            .append(true)
+            .open(dir.join(JOURNAL_FILE))
+            .unwrap();
+        journal.write_all(&surplus).unwrap();
+        journal.sync_all().unwrap();
+        drop(journal);
+
+        let (hub, report) = recover_image(&scratch, 16).unwrap();
+        assert_eq!(report.homes[0].durable_events, 30);
+        assert_eq!(report.homes[0].replayed_events, 10);
+        assert_eq!(report.homes[0].sealed_segments, 1);
+        // The surplus was truncated and the replayed verdicts appended in
+        // its place: the journal is exactly what the new snapshot names.
+        let after = parse_snapshot(&fs::read_to_string(dir.join(SNAP_FILE)).unwrap()).unwrap();
+        let mark = after.verdicts.unwrap();
+        assert_eq!(after.next_epoch, epoch + 1);
+        assert_eq!(mark.count, 30);
+        assert_eq!(mark.bytes, before.bytes + surplus.len() as u64);
+        assert_eq!(
+            fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(),
+            mark.bytes
+        );
+        let got = hub.shutdown().remove(0).verdicts;
+        assert_eq!(journal_bytes(&got), journal_bytes(&expected));
+    }
+
+    #[test]
+    fn journal_shorter_than_the_snapshot_fails_closed_with_the_offset() {
+        let scratch = Scratch::new("short");
+        let (model, events) = model_and_stream(40);
+        serve_and_crash(&scratch, &model, 16, &[&events[..20], &events[20..]]);
+        let path = home_dir(&scratch.0.join("image"), 0).join(JOURNAL_FILE);
+        let len = fs::metadata(&path).unwrap().len();
+        let cut = len - 3;
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        match recover_image(&scratch, 16) {
+            Err(RecoveryError::Corrupt { file, detail }) => {
+                assert_eq!(file, path);
+                assert!(detail.contains(&format!("offset {cut}")), "{detail}");
+            }
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("recovered from a short journal"),
+        }
+    }
+
+    #[test]
+    fn missing_journal_fails_closed() {
+        let scratch = Scratch::new("missing");
+        let (model, events) = model_and_stream(20);
+        serve_and_crash(&scratch, &model, 16, &[&events]);
+        let path = home_dir(&scratch.0.join("image"), 0).join(JOURNAL_FILE);
+        fs::remove_file(&path).unwrap();
+        match recover_image(&scratch, 16) {
+            Err(RecoveryError::Corrupt { file, detail }) => {
+                assert_eq!(file, path);
+                assert!(detail.contains("missing"), "{detail}");
+            }
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("recovered without the journal"),
+        }
+    }
+
+    #[test]
+    fn snapshot_size_stays_flat_across_rotations() {
+        let scratch = Scratch::new("flat");
+        let every = 32u64;
+        let (model, events) = model_and_stream(8 * every);
+        let live = scratch.0.join("live");
+        let mut hub = Hub::new(durable_config(&live, every));
+        let home = hub.register("kitchen", &model);
+        let dir = home_dir(&live, 0);
+        let size = |name| fs::metadata(dir.join(name)).unwrap().len();
+        let mut sizes = Vec::new();
+        for batch in events.chunks(every as usize) {
+            assert!(hub.submit_batch(home, batch).unwrap().is_complete());
+            hub.drain();
+            sizes.push((size(SNAP_FILE), size(JOURNAL_FILE)));
+        }
+        crash_image(&live, &scratch.0.join("image"));
+        let expected = hub.shutdown().remove(0).verdicts;
+        // The snapshot no longer carries the history: after the 8th
+        // rotation it is within a few digits of its size after the 1st,
+        // while the journal grew with every rotation.
+        let (snap1, journal1) = sizes[0];
+        let (snap8, journal8) = sizes[7];
+        assert!(
+            expected.iter().any(|v| !v.alarms.is_empty()),
+            "stream raises alarms"
+        );
+        assert!(
+            snap8 <= snap1 + 64,
+            "state.snap grew from {snap1} to {snap8} bytes"
+        );
+        assert!(
+            journal8 >= 7 * journal1,
+            "journal {journal1} -> {journal8} bytes"
+        );
+        assert!(sizes.windows(2).all(|w| w[1].1 > w[0].1));
+
+        let (hub, report) = recover_image(&scratch, every).unwrap();
+        assert_eq!(report.homes[0].durable_events, 8 * every);
+        assert_eq!(report.homes[0].replayed_events, 0);
+        let got = hub.shutdown().remove(0).verdicts;
+        assert_eq!(got.len(), expected.len());
+        assert_eq!(journal_bytes(&got), journal_bytes(&expected));
     }
 }

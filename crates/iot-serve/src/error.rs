@@ -159,13 +159,24 @@ pub enum RecoveryError {
     /// An I/O failure while reading durable state.
     Io(std::io::Error),
     /// A durable file failed verification. `detail` pins the failure:
-    /// for a WAL segment the byte offset and cause, for a snapshot or
-    /// checkpoint the offending line.
+    /// for a WAL segment or the verdict journal the byte offset and
+    /// cause, for a snapshot or checkpoint the offending line.
     Corrupt {
         /// The file that failed verification.
         file: std::path::PathBuf,
         /// What failed, precisely.
         detail: String,
+    },
+    /// An intact durable file is in a format version this build does
+    /// not read (a `causaliot-hub-snapshot v1` document, for instance,
+    /// which carried the verdict history inline). Nothing is served from
+    /// it; the home's `model.ckpt` is unaffected and can be registered
+    /// afresh.
+    UnsupportedVersion {
+        /// The file in the unsupported format.
+        file: std::path::PathBuf,
+        /// The version line the file carries.
+        found: String,
     },
 }
 
@@ -179,6 +190,11 @@ impl fmt::Display for RecoveryError {
             RecoveryError::Corrupt { file, detail } => {
                 write!(f, "corrupt durable state in {}: {detail}", file.display())
             }
+            RecoveryError::UnsupportedVersion { file, found } => write!(
+                f,
+                "unsupported durable format in {}: {found:?}",
+                file.display()
+            ),
         }
     }
 }
@@ -237,6 +253,12 @@ mod tests {
         };
         assert!(c.to_string().contains("offset 42"));
         assert!(c.to_string().contains("wal-0000000000.log"));
+        let v = RecoveryError::UnsupportedVersion {
+            file: std::path::PathBuf::from("/x/state.snap"),
+            found: "causaliot-hub-snapshot v1".into(),
+        };
+        assert!(v.to_string().contains("state.snap"));
+        assert!(v.to_string().contains("v1"));
         let io = RecoveryError::from(std::io::Error::other("disk gone"));
         assert!(io.to_string().contains("disk gone"));
         assert!(Error::source(&io).is_some());

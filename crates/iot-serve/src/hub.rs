@@ -22,9 +22,9 @@ use iot_telemetry::{
 
 use crate::config::{DurabilityConfig, HubConfig, SubmitPolicy};
 use crate::durable::{
-    home_dir, list_home_dirs, list_segments, parse_snapshot, render_snapshot, write_snapshot,
-    DriftParts, DriftResume, DurableHome, HomeRecovery, RecoveryReport, ResumeState, META_FILE,
-    MODEL_FILE, SNAP_FILE,
+    home_dir, list_home_dirs, list_segments, parse_snapshot, publish_snapshot, read_journal,
+    DriftResume, DurableHome, HomeRecovery, JournalMark, LiveState, RecoveryReport, ResumeState,
+    SnapshotError, VerdictJournal, META_FILE, MODEL_FILE, SNAP_FILE,
 };
 use crate::error::{QuarantinedError, RecoveryError, ShutdownTimeout};
 use crate::fault::{FaultHook, HomeHealth};
@@ -622,12 +622,13 @@ impl Hub {
     ///
     /// For every `home-<id>/` under the config's durability root, in id
     /// order: loads the model checkpoint, restores the latest live-state
-    /// snapshot (monitor runtime state, sequence number, verdict history,
-    /// drift window), replays the WAL tail through the restored monitor,
-    /// publishes a fresh post-recovery snapshot, and re-registers the
-    /// home under its original id and name. The resumed hub's verdict
-    /// stream — for every event the durability policy had made durable —
-    /// is **bit-identical** to an uninterrupted run; the
+    /// snapshot (monitor runtime state, sequence number, drift window)
+    /// and the verdict-journal prefix it names, replays the WAL tail
+    /// through the restored monitor, publishes a fresh post-recovery
+    /// snapshot, and re-registers the home under its original id and
+    /// name. The resumed hub's verdict stream — for every event the
+    /// durability policy had made durable — is **bit-identical** to an
+    /// uninterrupted run; the
     /// [`RecoveryReport`] tells the caller each home's durable event
     /// count, so clients that number their submissions know exactly where
     /// to resume.
@@ -643,8 +644,10 @@ impl Hub {
     /// [`RecoveryError::NotArmed`] when `config` has no armed
     /// [`crate::DurabilityConfig`]; [`RecoveryError::Io`] on read
     /// failures; [`RecoveryError::Corrupt`] for a checkpoint, snapshot,
-    /// or WAL record that fails verification, or a non-dense /
-    /// gap-containing home or segment layout.
+    /// journal or WAL record that fails verification, or a non-dense /
+    /// gap-containing home or segment layout;
+    /// [`RecoveryError::UnsupportedVersion`] for an intact snapshot in a
+    /// format this build does not read.
     ///
     /// # Panics
     ///
@@ -1410,13 +1413,20 @@ fn recover_home(
     let snap_path = dir.join(SNAP_FILE);
     let mut seq = 0u64;
     let mut verdicts: Vec<Verdict> = Vec::new();
+    let mut journal_mark = JournalMark::default();
     let mut next_epoch = 0u64;
     let mut snapshot_loaded = false;
     match fs::read_to_string(&snap_path) {
         Ok(text) => {
-            let doc = parse_snapshot(&text).map_err(|detail| RecoveryError::Corrupt {
-                file: snap_path.clone(),
-                detail,
+            let doc = parse_snapshot(&text).map_err(|e| match e {
+                SnapshotError::UnsupportedVersion(found) => RecoveryError::UnsupportedVersion {
+                    file: snap_path.clone(),
+                    found,
+                },
+                SnapshotError::Malformed(detail) => RecoveryError::Corrupt {
+                    file: snap_path.clone(),
+                    detail,
+                },
             })?;
             monitor
                 .restore_runtime_state(&doc.monitor_doc)
@@ -1426,8 +1436,11 @@ fn recover_home(
                 })?;
             seq = doc.seq;
             next_epoch = doc.next_epoch;
-            if let Some(v) = doc.verdicts {
-                verdicts = v;
+            // Without verdict recording the journal is never read: the
+            // post-recovery snapshot names none of it.
+            if let Some(mark) = doc.verdicts.filter(|_| config.record_verdicts) {
+                verdicts = read_journal(dir, mark)?;
+                journal_mark = mark;
             }
             if let (Some(drift), Some(dr)) = (drift.as_mut(), doc.drift) {
                 drift
@@ -1442,9 +1455,6 @@ fn recover_home(
         // model's end-of-training state alone.
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e.into()),
-    }
-    if !config.record_verdicts {
-        verdicts.clear();
     }
 
     // Replay the WAL tail: segments below the snapshot's epoch are
@@ -1514,33 +1524,39 @@ fn recover_home(
         seq += replay.events.len() as u64;
         replayed_events += replay.events.len() as u64;
         if config.record_verdicts {
-            verdicts.extend(out.iter().cloned());
+            // Moved, not cloned. An alarm's lists keep the growth slack
+            // of their pushes, so each is trimmed to the exact size the
+            // journal-decoded part of the history has.
+            verdicts.extend(out.drain(..).map(|mut v| {
+                v.alarms.shrink_to_fit();
+                for alarm in &mut v.alarms {
+                    alarm.events.shrink_to_fit();
+                }
+                v
+            }));
         }
     }
 
     // Publish a post-recovery snapshot so a second crash replays from
-    // here, then open a fresh segment above every epoch seen and prune
-    // the superseded ones.
+    // here — the journal gains only the replayed verdicts — then open a
+    // fresh segment above every epoch seen and prune the superseded ones.
     let new_epoch = expected;
-    let drift_parts = drift.as_ref().map(|d| DriftParts {
-        since_check: d.detector.since_check(),
-        events_seen: d.detector.events_seen(),
-        samples: d.detector.window_samples().collect(),
-        window: &d.window,
-        base_state: &d.base_state,
-    });
-    let doc = render_snapshot(
-        seq,
+    let mut journal = VerdictJournal::at(dir, journal_mark);
+    publish_snapshot(
+        dir,
+        &mut journal,
         new_epoch,
-        &monitor.export_runtime_state(),
-        config.record_verdicts.then_some(verdicts.as_slice()),
-        drift_parts.as_ref(),
-    );
-    write_snapshot(dir, &doc)?;
-    drop(drift_parts);
+        &LiveState {
+            seq,
+            monitor_doc: &monitor.export_runtime_state(),
+            verdicts: config.record_verdicts.then_some(verdicts.as_slice()),
+            drift: drift.as_ref().map(DriftState::snapshot_parts),
+        },
+    )?;
     let durable = DurableHome::open_at(
         dir.to_path_buf(),
         new_epoch,
+        journal,
         durability.policy,
         durability.snapshot_every,
     )?;
@@ -1579,13 +1595,13 @@ fn recover_home(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use causaliot_core::CausalIot;
     use iot_model::{Attribute, DeviceRegistry, Room, Timestamp};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn fitted_model() -> (DeviceRegistry, FittedModel) {
+    pub(crate) fn fitted_model() -> (DeviceRegistry, FittedModel) {
         fitted_model_seeded(11)
     }
 

@@ -54,10 +54,11 @@
 //!   bit-identical to a non-adaptive one.
 //! * **Crash tolerance** — with a [`DurabilityConfig`] armed, every home
 //!   appends its scored events to a CRC-framed per-home write-ahead log
-//!   and periodically snapshots its full runtime state with the same
-//!   atomic write discipline as checkpoints. After a hard crash
+//!   and periodically snapshots its runtime state with the same atomic
+//!   write discipline as checkpoints; recorded verdicts go to an
+//!   append-only journal in the WAL's framing. After a hard crash
 //!   (`kill -9` included), [`Hub::recover`] rebuilds the fleet from disk
-//!   — snapshot first, WAL tail replayed on top — and resumes with
+//!   — snapshot and journal first, WAL tail replayed on top — and resumes with
 //!   verdicts bit-identical to an uninterrupted run. Recovery is
 //!   fail-closed: corruption stops it with [`RecoveryError::Corrupt`]
 //!   naming the file and offset; only a torn final record (a crash

@@ -46,7 +46,7 @@ use iot_model::{BinaryEvent, DeviceId, SystemState, Timestamp};
 use iot_telemetry::{Counter, FlightRecorder, Gauge, Histogram, MonitorReport, TelemetryHandle};
 
 use crate::config::{AdaptationPolicy, RestorePolicy};
-use crate::durable::{render_snapshot, DriftParts, DurableHome, ResumeState};
+use crate::durable::{DriftParts, DurableHome, LiveState, ResumeState};
 use crate::fault::{panic_message, FaultHook, HomeHealth};
 use crate::hub::HomeId;
 use crate::refit::RefitRequest;
@@ -192,6 +192,17 @@ pub(crate) struct DriftState {
 }
 
 impl DriftState {
+    /// The detector and window state a snapshot records.
+    pub(crate) fn snapshot_parts(&self) -> DriftParts<'_> {
+        DriftParts {
+            since_check: self.detector.since_check(),
+            events_seen: self.detector.events_seen(),
+            samples: self.detector.window_samples().collect(),
+            window: &self.window,
+            base_state: &self.base_state,
+        }
+    }
+
     /// Seeds drift state from the model now serving the home. `None`
     /// when the model cannot back a detector (config validation already
     /// passed at hub build, so this is effectively infallible).
@@ -866,21 +877,13 @@ impl ShardCore {
             return;
         };
         let monitor_doc = monitor.export_runtime_state();
-        let drift_parts = drift.as_ref().map(|d| DriftParts {
-            since_check: d.detector.since_check(),
-            events_seen: d.detector.events_seen(),
-            samples: d.detector.window_samples().collect(),
-            window: &d.window,
-            base_state: &d.base_state,
-        });
-        let doc = render_snapshot(
-            *seq,
-            dur.next_epoch(),
-            &monitor_doc,
-            self.context.record_verdicts.then_some(verdicts.as_slice()),
-            drift_parts.as_ref(),
-        );
-        match dur.rotate(&doc) {
+        let live = LiveState {
+            seq: *seq,
+            monitor_doc: &monitor_doc,
+            verdicts: self.context.record_verdicts.then_some(verdicts.as_slice()),
+            drift: drift.as_ref().map(DriftState::snapshot_parts),
+        };
+        match dur.rotate(&live) {
             Ok(()) => {
                 self.context.wal_rotations.inc();
                 self.context.snapshots_written.inc();

@@ -35,14 +35,14 @@ use causaliot_core::persist::crc32;
 use iot_model::{BinaryEvent, DeviceId, Timestamp};
 
 /// Bytes of framing before each record's payload (length + CRC).
-const FRAME: usize = 8;
+pub(crate) const FRAME: usize = 8;
 /// An event payload: kind + millis + device + value.
 const EVENT_PAYLOAD: usize = 1 + 8 + 4 + 1;
 /// A seal payload: kind + record count.
 const SEAL_PAYLOAD: usize = 1 + 8;
 /// Sanity cap on a record's declared payload length: no valid record
 /// comes close, so anything larger is corruption, not data.
-const MAX_PAYLOAD: u32 = 1 << 20;
+pub(crate) const MAX_PAYLOAD: u32 = 1 << 20;
 
 const KIND_EVENT: u8 = 1;
 const KIND_SEAL: u8 = 2;
@@ -61,7 +61,8 @@ pub fn parse_segment_epoch(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
+/// Appends `payload` to `out` as one `[len][crc][payload]` frame.
+pub(crate) fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -246,40 +247,59 @@ pub fn replay_segment(path: &Path) -> io::Result<SegmentReplay> {
     Ok(replay_bytes(&bytes))
 }
 
+/// What the frame reader found at the start of a byte slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Frame<'a> {
+    /// A whole frame whose CRC verified: its payload.
+    Record(&'a [u8]),
+    /// The slice ends before the frame it starts is complete.
+    Torn,
+    /// The frame's length is implausible or its CRC does not match.
+    Bad(WalStopCause),
+}
+
+/// Reads the frame at the start of `bytes`.
+/// A frame's full size is `FRAME + payload.len()`.
+pub(crate) fn read_frame(bytes: &[u8]) -> Frame<'_> {
+    if bytes.len() < FRAME {
+        return Frame::Torn;
+    }
+    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if len == 0 || len > MAX_PAYLOAD {
+        return Frame::Bad(WalStopCause::BadLength);
+    }
+    let Some(payload) = bytes[FRAME..].get(..len as usize) else {
+        return Frame::Torn;
+    };
+    if crc32(payload) != crc {
+        return Frame::Bad(WalStopCause::CrcMismatch);
+    }
+    Frame::Record(payload)
+}
+
 fn replay_bytes(bytes: &[u8]) -> SegmentReplay {
     let mut events = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
         let offset = pos as u64;
+        let payload = match read_frame(&bytes[pos..]) {
+            Frame::Record(payload) => payload,
+            Frame::Torn => {
+                return SegmentReplay {
+                    events,
+                    outcome: SegmentOutcome::TornTail { offset },
+                }
+            }
+            Frame::Bad(cause) => {
+                return SegmentReplay {
+                    events,
+                    outcome: SegmentOutcome::Corrupt { offset, cause },
+                }
+            }
+        };
+        let len = payload.len();
         let corrupt = |cause| SegmentOutcome::Corrupt { offset, cause };
-        if bytes.len() - pos < FRAME {
-            return SegmentReplay {
-                events,
-                outcome: SegmentOutcome::TornTail { offset },
-            };
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_PAYLOAD {
-            return SegmentReplay {
-                events,
-                outcome: corrupt(WalStopCause::BadLength),
-            };
-        }
-        let len = len as usize;
-        if bytes.len() - pos - FRAME < len {
-            return SegmentReplay {
-                events,
-                outcome: SegmentOutcome::TornTail { offset },
-            };
-        }
-        let payload = &bytes[pos + FRAME..pos + FRAME + len];
-        if crc32(payload) != crc {
-            return SegmentReplay {
-                events,
-                outcome: corrupt(WalStopCause::CrcMismatch),
-            };
-        }
         match payload[0] {
             KIND_EVENT => {
                 if len != EVENT_PAYLOAD {
